@@ -91,6 +91,7 @@ intact under weighted scheduling:
     PYTHONPATH=src python benchmarks/bench_serving.py --check --qos
 """
 
+import gc
 import json
 import math
 import os
@@ -137,6 +138,19 @@ ORACLE_SLICE_STEPS = 64
 SLICE_BUDGET_TOLERANCE = 1.05
 JSON_REPORT = "BENCH_serving.json"
 POOL_WORKERS = 2
+#: Streaming-cost gate (``--pool``): serving the warmed mixed batch with a
+#: pickled checkpoint at every slice boundary — what every pool and network
+#: worker does by default — may take at most this multiple of plain
+#: ``serve``.  The batch is sliced finer than ``SLICE_STEPS`` so the deep
+#: requests cross several boundaries; at ``SLICE_STEPS`` every request
+#: finishes in its first slice and only its initial state is checkpointed.
+#: The bound sits between the 3.3-4.0x measured when every snapshot
+#: recompiled and deep-copied the program and the 1.8-2.5x of snapshots
+#: that copy only mutable state.
+STREAMING_SLICE_STEPS = 64
+STREAMING_OVERHEAD_BOUND = 2.9
+#: Timed passes per side, alternating; the gate compares the fastest of each.
+STREAMING_REPEATS = 15
 #: The checkpoint section pauses executions after one slice this long, so
 #: every backend (the shallow-stepping oracles included) is mid-run when
 #: its snapshot is taken.
@@ -426,6 +440,63 @@ def collect_pool_report() -> dict:
         "repeated_program_per_request": repeated_per_request,
         "cross_worker_cache_hits": repeated_stats["cross_worker_hits"],
         "publishes": repeated_stats["publishes"],
+    }
+
+
+def collect_streaming_report() -> dict:
+    """In-process cost of slice-boundary checkpoint streaming.
+
+    Times the warmed mixed batch through ``serve`` and through
+    ``serve_preempting(checkpoint_every=1)`` with an ``on_checkpoint`` that
+    pickles every checkpoint, as a pool worker's stream does.  The ratio of
+    the two is machine-independent enough to gate.
+    """
+    scheduler = make_default_scheduler(slice_steps=STREAMING_SLICE_STEPS)
+    requests = make_requests()
+    scheduler.warm_cache(requests)
+    checkpoint_bytes = []
+
+    def stream(_index, checkpoint) -> None:
+        checkpoint_bytes.append(len(pickle.dumps(checkpoint)))
+
+    def plain_batch():
+        return scheduler.serve(requests)
+
+    def streaming_batch():
+        return scheduler.serve_preempting(requests, checkpoint_every=1, on_checkpoint=stream)
+
+    mismatches = [
+        request.request_id
+        for request, first, second in zip(requests, plain_batch(), streaming_batch())
+        if _observable(first) != _observable(second)
+    ]
+    checkpoints = len(checkpoint_bytes)
+    total_bytes = sum(checkpoint_bytes)
+    # Alternate the two sides so a drift in machine speed hits both alike,
+    # and keep the collector out of the timings (as ``timeit`` does): its
+    # pauses depend on what earlier sections left on the heap.
+    serve_seconds = streaming_seconds = math.inf
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(STREAMING_REPEATS):
+            serve_seconds = min(serve_seconds, _best_of(plain_batch, repeats=1))
+            streaming_seconds = min(streaming_seconds, _best_of(streaming_batch, repeats=1))
+    finally:
+        gc.enable()
+    ratio = streaming_seconds / serve_seconds
+    return {
+        "requests": len(requests),
+        "slice_steps": STREAMING_SLICE_STEPS,
+        "checkpoints_per_batch": checkpoints,
+        "checkpoint_bytes_per_batch": total_bytes,
+        "serve_seconds": serve_seconds,
+        "streaming_seconds": streaming_seconds,
+        "streaming_vs_serve": ratio,
+        "bound": STREAMING_OVERHEAD_BOUND,
+        "results_match": not mismatches,
+        "mismatches": mismatches,
+        "ok": not mismatches and ratio <= STREAMING_OVERHEAD_BOUND,
     }
 
 
@@ -1398,6 +1469,7 @@ def main(argv) -> int:
     report["checkpoint"] = collect_checkpoint_report()
     if with_pool:
         report["pool"] = collect_pool_report()
+        report["pool"]["streaming"] = collect_streaming_report()
         report["checkpoint"]["migration"] = collect_migration_report()
     if with_chaos:
         report["chaos"] = collect_chaos_report()
@@ -1425,6 +1497,13 @@ def main(argv) -> int:
             f"({pool_report['throughput_rps']:.0f} req/s), shard load {pool_report['shard_load']}, "
             f"shared cache: {cache['publishes']} published, {cache['hits']} hits "
             f"({cache['cross_worker_hits']} cross-worker)"
+        )
+        streaming = pool_report["streaming"]
+        print(
+            f"checkpoint streaming: {streaming['checkpoints_per_batch']} checkpoints/batch, "
+            f"{streaming['streaming_seconds'] * 1e3:.1f}ms vs serve "
+            f"{streaming['serve_seconds'] * 1e3:.1f}ms "
+            f"(ratio {streaming['streaming_vs_serve']:.2f}x, bound {streaming['bound']:.2f}x)"
         )
     checkpoint_report = report["checkpoint"]
     worst = max(
@@ -1562,6 +1641,17 @@ def main(argv) -> int:
             print(
                 "MISMATCH: pooled results diverge from sequential on: "
                 + ", ".join(pool_report["mismatches"]),
+                file=sys.stderr,
+            )
+            failed = True
+        streaming = pool_report["streaming"]
+        if not streaming["ok"]:
+            print(
+                "REGRESSION: slice-boundary checkpoint streaming took "
+                f"{streaming['streaming_vs_serve']:.2f}x plain serve "
+                f"(bound {streaming['bound']:.2f}x; mismatches: "
+                + (", ".join(streaming["mismatches"]) or "none")
+                + ")",
                 file=sys.stderr,
             )
             failed = True

@@ -127,6 +127,11 @@ class LanguageFrontend:
     #: describes.  An analyzer that raises fails the pipeline — analysis
     #: errors are frontend errors, surfaced the same way typecheck errors are.
     analyze: Optional[Callable[["CompiledUnit"], Any]] = None
+    #: Memos the boundary hooks key by ``id(node)``: typecheck fills them and
+    #: compile and analysis read them.  They describe one program only, so
+    #: each pipeline run clears them when it ends — an entry must not outlive
+    #: its node, whose id Python may hand to a node of a later program.
+    pipeline_memos: Tuple[Dict[int, Any], ...] = ()
     cache_enabled: bool = True
     cache_capacity: int = 256
     cache_hits: int = 0
@@ -202,13 +207,17 @@ class LanguageFrontend:
         return True
 
     def _run_pipeline(self, source: str, **typecheck_kwargs: Any) -> "CompiledUnit":
-        term = self.parse_expr(source)
-        inferred = self.typecheck(term, **typecheck_kwargs)
-        compiled = self.compile(term)
-        unit = CompiledUnit(language=self.name, term=term, type=inferred, target_code=compiled)
-        if self.analyze is not None:
-            unit.analysis = self.analyze(unit)
-        return unit
+        try:
+            term = self.parse_expr(source)
+            inferred = self.typecheck(term, **typecheck_kwargs)
+            compiled = self.compile(term)
+            unit = CompiledUnit(language=self.name, term=term, type=inferred, target_code=compiled)
+            if self.analyze is not None:
+                unit.analysis = self.analyze(unit)
+            return unit
+        finally:
+            for memo in self.pipeline_memos:
+                memo.clear()
 
     def clear_cache(self) -> None:
         self._cache.clear()

@@ -154,6 +154,8 @@ def make_system(
         boundary_types=hooks.boundary_types,
         resolved_rules=hooks.resolved_rules,
     )
+    # Typecheck fills these per boundary node; each pipeline run clears them.
+    memos = (hooks.boundary_types, hooks.resolved_glue, hooks.resolved_rules)
 
     # Mutually recursive boundary parsers: an Affi boundary embeds a MiniML
     # term whose own boundaries embed Affi terms, and so on.
@@ -179,6 +181,7 @@ def make_system(
             term, annotations=hooks.annotations, boundary_hook=hooks.affi_compile_boundary
         ),
         analyze=analyzer,
+        pipeline_memos=memos,
     )
     ml_frontend = LanguageFrontend(
         name=LANGUAGE_B,
@@ -193,6 +196,7 @@ def make_system(
         ),
         compile=lambda term: ml_compiler.compile_expr(term, boundary_hook=hooks.ml_compile_boundary),
         analyze=analyzer,
+        pipeline_memos=memos,
     )
     # All four LCVM evaluator backends; the compiled-dispatch CEK machine is
     # the default, with the substitution machine (and the interpreted CEK

@@ -124,6 +124,8 @@ def make_system(
         boundary_types=hooks.boundary_types,
         resolved_rules=hooks.resolved_rules,
     )
+    # Typecheck fills these per boundary node; each pipeline run clears them.
+    memos = (hooks.boundary_types, hooks.resolved_glue, hooks.resolved_rules)
 
     def _parse_l3_inside_ml(sexpr):
         return l3_parser.parse_expr_sexpr(sexpr, _parse_ml_inside_l3)
@@ -144,6 +146,7 @@ def make_system(
         ),
         compile=lambda term: ml_compiler.compile_expr(term, boundary_hook=hooks.ml_compile_boundary),
         analyze=analyzer,
+        pipeline_memos=memos,
     )
     l3_frontend = LanguageFrontend(
         name=LANGUAGE_B,
@@ -159,6 +162,7 @@ def make_system(
         ),
         compile=lambda term: l3_compiler.compile_expr(term, boundary_hook=hooks.l3_compile_boundary),
         analyze=analyzer,
+        pipeline_memos=memos,
     )
     # All four LCVM evaluator backends; the compiled-dispatch CEK machine is
     # the default, with the substitution machine (and the interpreted CEK

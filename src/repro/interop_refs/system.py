@@ -219,6 +219,8 @@ def make_system(
         boundary_types=hooks.boundary_types,
         resolved_rules=hooks.resolved_rules,
     )
+    # Typecheck fills these per boundary node; each pipeline run clears them.
+    memos = (hooks.boundary_types, hooks.resolved_glue, hooks.resolved_rules)
 
     refhl_frontend = LanguageFrontend(
         name=LANGUAGE_A,
@@ -229,6 +231,7 @@ def make_system(
         ),
         compile=lambda term: hl_compiler.compile_expr(term, boundary_hook=hooks.refhl_compile_boundary),
         analyze=analyzer,
+        pipeline_memos=memos,
     )
     refll_frontend = LanguageFrontend(
         name=LANGUAGE_B,
@@ -239,6 +242,7 @@ def make_system(
         ),
         compile=lambda term: ll_compiler.compile_expr(term, boundary_hook=hooks.refll_compile_boundary),
         analyze=analyzer,
+        pipeline_memos=memos,
     )
     # StackLang has four evaluator backends (there is no separate big-step
     # engine for a stack language); the pc-threaded compiled machine is the

@@ -17,9 +17,10 @@ of Fig. 8/Fig. 10 and the boolean conversions of Fig. 9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 from repro.core.errors import ErrorCode
+from repro.core.snapshots import share_by_reference
 
 # ---------------------------------------------------------------------------
 # Expressions (values are a subset of expressions)
@@ -284,6 +285,10 @@ Expr = Union[
     CallGc,
     Protect,
 ]
+
+# Expressions are immutable, so machine snapshots share them with the live
+# machine instead of copying the program at every slice boundary.
+share_by_reference(*get_args(Expr))
 
 UNIT = Unit()
 

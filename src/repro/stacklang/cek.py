@@ -965,18 +965,20 @@ class CompiledExecution:
     ``step_n(limit)`` advances the machine by at most ``limit`` instructions
     and returns the final :class:`~repro.stacklang.machine.MachineResult`
     once the machine halts (or its *per-execution* fuel budget runs out), or
-    ``None`` while there is work and fuel left.  The snapshot between slices
+    ``None`` while there is work and fuel left.  The state between slices
     is just ``(pc, op-state, steps)``, so a scheduler can interleave many
     executions on one loop; the observable result is identical to an
     uninterrupted :func:`run_compiled` regardless of slicing.
 
-    Executions are **picklable, mid-run included**: the compiled op array is
-    a graph of process-local closures and never crosses a process boundary —
-    ``__getstate__`` drops it and keeps ``program`` (plain syntax, the
-    picklable handle) plus the op-state, and ``__setstate__`` recompiles.
-    Compilation is deterministic, so the restored op array has the same
-    layout and the saved ``pc`` (and every :class:`CThunkV` entry pc in the
-    state) stays valid; the resumed run is observably identical.
+    The compiled op array is a graph of process-local closures and never
+    leaves the process.  ``__getstate__`` is the plain op-state without it:
+    ``program`` (the syntax handle) plus the pc, stacks, environment and
+    heap.  That dict is both the pickled form of a live execution and the
+    body of a :meth:`snapshot`; ``__setstate__`` rebuilds the op array by
+    compiling the program once.  Compilation is deterministic, so the
+    restored op array has the same layout and the saved ``pc`` (and every
+    :class:`CThunkV` entry pc in the state) stays valid; the resumed run is
+    observably identical.
     """
 
     __slots__ = ("fuel", "steps", "result", "program", "_code", "_heap_cells", "_st", "_pc")
@@ -1038,8 +1040,9 @@ class CompiledExecution:
 
     def __setstate__(self, state: dict) -> None:
         self.program = state["program"]
-        # Unpickling makes a fresh program tuple whose id can never be looked
-        # up again; compile uncached rather than churn the id-keyed memo.
+        # A restored program may be a fresh tuple unpickled in another
+        # process, whose id can never be looked up again; compile uncached
+        # rather than churn the id-keyed memo.
         self._code = self._COMPILE_FRESH(self.program)
         self._st = state["st"]
         self._heap_cells = self._st[_HEAP]  # preserve the __init__ aliasing
@@ -1051,24 +1054,20 @@ class CompiledExecution:
     def snapshot(self) -> dict:
         """Reify the paused machine as a versioned, process-portable dict.
 
-        The mid-run pickling contract above already does the heavy lifting:
-        embedding the execution itself routes through ``__getstate__`` (which
-        drops the process-local op array) and the plain-data copy inside
-        :func:`repro.core.snapshots.make_snapshot` severs every alias with
-        the live machine.  Restoring recompiles deterministically, so the
-        saved ``pc`` and every ``CThunkV`` entry pc stay valid.
+        The snapshot holds the plain op-state of :meth:`__getstate__`, copied
+        out of the live machine by :func:`repro.core.snapshots.make_snapshot`
+        (the program syntax is shared, everything mutable is copied).  Taking
+        it never compiles; :meth:`from_snapshot` compiles once per restore.
         """
         if self.result is not None:
             raise ValueError("cannot snapshot a finished execution")
-        return make_snapshot(self.SNAPSHOT_KIND, {"execution": self})
+        return make_snapshot(self.SNAPSHOT_KIND, self.__getstate__())
 
     @classmethod
     def from_snapshot(cls, snapshot: dict) -> "CompiledExecution":
         """Rebuild a paused machine from :meth:`snapshot` output."""
-        state = check_snapshot(snapshot, cls.SNAPSHOT_KIND)
-        execution = state["execution"]
-        if not isinstance(execution, cls):
-            raise ValueError(f"snapshot does not hold a {cls.__name__}")
+        execution = cls.__new__(cls)
+        execution.__setstate__(check_snapshot(snapshot, cls.SNAPSHOT_KIND))
         return execution
 
     def step_n(self, limit: int) -> Optional[MachineResult]:

@@ -15,9 +15,10 @@ expected programs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple, Union, get_args
 
 from repro.core.errors import ErrorCode
+from repro.core.snapshots import share_by_reference
 
 # ---------------------------------------------------------------------------
 # Values
@@ -212,6 +213,10 @@ Instruction = Union[Push, Add, Less, If0, Lam, Call, Idx, Len, Alloc, Read, Writ
 
 #: A program is a (possibly empty) sequence of instructions.
 Program = Tuple[Instruction, ...]
+
+# Operands and instructions are immutable, so machine snapshots share them
+# (and programs, tuples of them) with the live machine instead of copying.
+share_by_reference(*get_args(Operand), *get_args(Instruction))
 
 
 def program(*instructions: Instruction) -> Program:

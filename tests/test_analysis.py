@@ -118,6 +118,24 @@ def test_crossing_enumeration_matches_workload_shape(system_name, depth):
     assert report.estimated_steps == report.node_count + CROSSING_STEP_COST * report.crossing_count
 
 
+@pytest.mark.parametrize("system_name", sorted(_WORKLOADS))
+def test_boundary_memos_never_outlive_one_program(system_name):
+    # The hooks key boundary types, glue and rules by ``id(node)``; each
+    # pipeline run reads them and then clears them, so they stay bounded
+    # however many distinct programs a serving process compiles.
+    generator, language, per_depth = _WORKLOADS[system_name]
+    system = _SYSTEMS[system_name]
+    memos = system.language_a.pipeline_memos
+    assert len(memos) == 3 and memos is system.language_b.pipeline_memos
+    for depth in range(1, 13):
+        report = system.compile_source(language, generator(depth)).analysis
+        # The analysis read the memos before they were cleared...
+        assert report.crossing_count == depth * per_depth
+        assert all(site.rule and site.foreign_type != "?" for site in report.crossings)
+        # ...and nothing of this program (or an earlier one) is left behind.
+        assert not any(memos)
+
+
 def test_pure_program_reports_no_crossings_and_no_effects():
     system = _SYSTEMS["affine"]
     report = system.compile_source("MiniML", "(+ 1 (+ 2 3))").analysis

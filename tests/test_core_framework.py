@@ -308,6 +308,35 @@ def test_pipeline_cache_can_be_disabled_and_cleared():
     assert frontend.cache_stats()["misses"] == 1  # cleared stats, recompiled
 
 
+def test_pipeline_memos_are_scoped_to_one_run():
+    memo = {}
+    seen = []
+
+    def typecheck(term):
+        memo[id(term)] = "ty"
+        if term == "bad":
+            raise ReproError("ill-typed")
+        return "ty"
+
+    def compile_term(term):
+        seen.append(memo.get(id(term)))  # compile reads what typecheck left
+        return ("code", term)
+
+    frontend = LanguageFrontend(
+        name="Toy",
+        parse_expr=lambda source: source.strip("()"),
+        parse_type=lambda source: source,
+        typecheck=typecheck,
+        compile=compile_term,
+        pipeline_memos=(memo,),
+    )
+    frontend.pipeline("(x)")
+    assert seen == ["ty"] and memo == {}
+    with pytest.raises(ReproError):
+        frontend.pipeline("(bad)")
+    assert memo == {}  # a failed run clears them too
+
+
 # -- cross-process cache export/import hooks ----------------------------------
 
 

@@ -398,3 +398,44 @@ def test_cek_step_count_is_linear_not_quadratic():
     assert small.value == Int(100) and large.value == Int(200)
     # Linear growth: doubling the program roughly doubles the steps.
     assert large.steps <= 2 * small.steps + 10
+
+
+def test_concurrent_compiles_keep_their_own_node_tables():
+    # In-process network workers compile on their own threads.  Every node
+    # must land in its own root's table at its own index: the (root, index)
+    # handles of snapshots depend on it.
+    import sys
+    import threading
+
+    from repro.lcvm import cek
+    from repro.lcvm.syntax import BinOp, Int
+
+    def program(seed):
+        expr = Int(seed)
+        for step in range(120):
+            expr = BinOp("+", Int(seed * 1000 + step), expr)
+        return expr
+
+    errors = []
+
+    def compile_many(offset):
+        try:
+            for seed in range(offset, offset + 40):
+                root = program(seed)
+                table = cek.compiled_table(root)
+                assert [node.index for node in table] == list(range(len(table)))
+                assert all(node.root is root for node in table)
+        except Exception as error:  # reported on the main thread below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=compile_many, args=(1000 * n,)) for n in range(1, 5)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[0]

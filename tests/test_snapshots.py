@@ -25,6 +25,7 @@ process — must be observably invisible.  Four layers of guarantees:
   ``resume`` round trip matches an uninterrupted sequential serve.
 """
 
+import dataclasses
 import multiprocessing
 import pickle
 from functools import lru_cache
@@ -34,7 +35,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ReproError
-from repro.core.snapshots import SNAPSHOT_VERSION, snapshot_backend_name
+from repro.analysis import optimize
+from repro.core.snapshots import SNAPSHOT_VERSION, shared_classes, snapshot_backend_name
+from repro.fuzz.generator import FuzzGenerator
 from repro.interop_affine import make_system as make_affine_system
 from repro.interop_l3 import make_system as make_l3_system
 from repro.interop_refs import make_system as make_refs_system
@@ -46,6 +49,7 @@ from repro.lcvm.syntax import App, CallGc, Deref, Inl, Int, Lam, Let, Match, New
 from repro.lcvm.values import reify
 from repro.serve import Checkpoint, CheckpointStore, Request, make_default_scheduler
 from repro.serve.checkpoint import CHECKPOINT_VERSION
+from repro.stacklang import cek as stack_cek
 from repro.util.workloads import (
     nested_ml_affi_boundary,
     nested_ml_l3_boundary,
@@ -360,6 +364,10 @@ def test_version_and_kind_tampering_is_refused():
     snapshot = _mid_run_snapshot("refs")
     with pytest.raises(ValueError):
         system.restore_execution(dict(snapshot, version=SNAPSHOT_VERSION + 1))
+    # Checkpoints stored before the StackLang op-state layout are refused by
+    # name, not by a missing key deep inside a restorer.
+    with pytest.raises(ValueError, match="version 1"):
+        system.restore_execution(dict(snapshot, version=1))
     # A kind whose tail names no registered backend cannot route at all.
     with pytest.raises(ReproError):
         system.restore_execution(dict(snapshot, kind="garbage"))
@@ -372,16 +380,126 @@ def test_version_and_kind_tampering_is_refused():
         system.target.restore(snapshot, backend="no-such-backend")
 
 
-def test_one_snapshot_restores_many_independent_executions():
-    system = _SYSTEMS["affine"]
-    base_str, base_steps = _baseline("affine", "cek-compiled", 5)
-    snapshot = _mid_run_snapshot("affine", backend="cek-compiled")
+def _syntax_roots(snapshot):
+    """The program syntax a compiled machine's snapshot refers to."""
+    if "program" in snapshot:  # StackLang: the op-state's program handle
+        return [snapshot["program"]]
+    roots = [root for _tag, _names, refs, _env, _value in snapshot["kont"] for root, _index in refs]
+    if snapshot["evaluating"]:
+        roots.append(snapshot["control"][0])
+    return roots
+
+
+def _mutable_containers(snapshot):
+    """The snapshot's mutable state, for the no-aliasing half of the contract."""
+    if "st" in snapshot:
+        values, returns, restores, _env, heap = snapshot["st"][:5]
+        return [snapshot["st"], values, returns, restores, heap]
+    return [snapshot["kont"], snapshot["heap"]["cells"], snapshot["heap"]["free"]]
+
+
+def _live_containers(machine):
+    if hasattr(machine, "_st"):
+        values, returns, restores, _env, heap = machine._st[:5]
+        return [machine._st, values, returns, restores, heap]
+    return [machine._kont, machine.heap.cells, machine.heap._free]
+
+
+@pytest.mark.parametrize(
+    "system_name,backend",
+    [("affine", "cek-compiled"), ("refs", "cek-compiled"), ("refs", "cek-opt")],
+)
+def test_one_snapshot_restores_many_independent_executions(system_name, backend):
+    system = _SYSTEMS[system_name]
+    base_str, base_steps = _baseline(system_name, backend, 5)
+    live = system.start_compiled(_target_code(system_name), fuel=FUEL, backend=backend)
+    assert live.step_n(3) is None
+    snapshot = live.snapshot()
+
+    # Syntax is shared with the live machine; every mutable container is not.
+    roots = _syntax_roots(snapshot)
+    assert roots and all(root is _target_code(system_name) for root in roots)
+    live_ids = {id(container) for container in _live_containers(live.machine)}
+    assert not live_ids & {id(container) for container in _mutable_containers(snapshot)}
+
+    # Stepping the live machine on must not reach into the snapshot.
+    frozen_bytes = pickle.dumps(snapshot)
+    live_result = _finish(live, 5)
+    assert (str(live_result), live_result.steps) == (base_str, base_steps)
+    assert pickle.dumps(snapshot) == frozen_bytes
+
     first = system.restore_execution(snapshot)
     second = system.restore_execution(snapshot)
     first_result = _finish(first, 5)  # runs (and mutates its heap) to the end...
     second_result = _finish(second, 5)  # ...without contaminating its sibling
     assert (str(first_result), first_result.steps) == (base_str, base_steps)
     assert (str(second_result), second_result.steps) == (base_str, base_steps)
+    assert pickle.dumps(snapshot) == frozen_bytes
+
+
+def _refuse_to_compile(*_args, **_kwargs):
+    raise AssertionError("taking a snapshot must not compile")
+
+
+@pytest.mark.parametrize(
+    "system_name,backend",
+    [(name, backend) for name in ("refs", "l3") for backend in ("cek-compiled", "cek-opt")],
+)
+def test_taking_a_snapshot_never_compiles(system_name, backend, monkeypatch):
+    system = _SYSTEMS[system_name]
+    base_str, base_steps = _baseline(system_name, backend, 1)
+    probe = system.start_compiled(_target_code(system_name), fuel=FUEL, backend=backend)
+    assert probe.step_n(1) is None
+    with monkeypatch.context() as patched:
+        if system_name == "refs":
+            patched.setattr(stack_cek, "_compile", _refuse_to_compile)
+            patched.setattr(stack_cek, "_compile_fused", _refuse_to_compile)
+            # The machines bind their compilers when the classes are created.
+            for machine in (stack_cek.CompiledExecution, stack_cek.OptimizedExecution):
+                patched.setattr(machine, "_COMPILE_FRESH", staticmethod(_refuse_to_compile))
+                patched.setattr(machine, "_COMPILE_CACHED", staticmethod(_refuse_to_compile))
+        else:
+            patched.setattr(lcvm_cek, "compile_node", _refuse_to_compile)
+        snapshot = probe.snapshot()
+    restored = system.restore_execution(_round_trip(snapshot))
+    finished = _finish(restored, 1)
+    assert (str(finished), finished.steps) == (base_str, base_steps)
+
+
+def _syntax_nodes(root):
+    """Every node reachable from ``root`` through dataclass fields and tuples."""
+    seen = set()
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        if isinstance(node, tuple):
+            todo.extend(node)
+        elif dataclasses.is_dataclass(node):
+            todo.extend(getattr(node, field.name) for field in dataclasses.fields(node))
+
+
+def test_snapshots_share_only_immutable_syntax():
+    shared = shared_classes()
+    assert shared, "no syntax registered for sharing"
+    for cls in shared:
+        assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen, cls
+    # Every node of generated programs — compiled, and optimized for the LCVM
+    # cek-opt backend — is registered syntax or hashable plain data, so no
+    # list or dict field can alias live state into a snapshot.
+    for case in FuzzGenerator(seed=20260808).take(60):
+        if case.kind == "static-error":
+            continue
+        code = _SYSTEMS[case.system].compile_source(case.language, case.source).target_code
+        programs = [code] if isinstance(code, tuple) else [code, optimize(code)]
+        for program in programs:
+            for node in _syntax_nodes(program):
+                if dataclasses.is_dataclass(node):
+                    assert type(node) in shared, type(node)
+                hash(node)
 
 
 # ---------------------------------------------------------------------------
